@@ -16,8 +16,9 @@
 //! value equal to the computed checksum) live in the target extensions,
 //! which fork a dedicated path instead of relying on a lucky model.
 //!
-//! Every solve in this loop is **model-bearing**, so it always runs on a
-//! fresh SAT instance via [`Solver::check_assuming`] — even when the run's
+//! Every solve in this loop is **model-bearing**, so it always runs
+//! history-free per check on a recycled instance via
+//! [`Solver::check_assuming`] — even when the run's
 //! feasibility checks use the warm incremental spine core
 //! ([`p4t_smt::SolverMode::Incremental`]). The concrete argument values fed
 //! to step 2 therefore depend only on the constraint set, which is what

@@ -574,6 +574,9 @@ pub struct RunSummary {
     /// this run (all zero under [`SolverMode::Fresh`] except the blast-cache
     /// ones, which fresh instances also report).
     pub solver: IncrementalStats,
+    /// Time model-bearing checks spent from check start to solve start
+    /// (recycling the SAT instance and blasting), summed over workers.
+    pub model_encode_time: Duration,
     /// Degradation taxonomy (budget Unknowns, isolated panics, deadline,
     /// model-default fallbacks, per-reason abandoned counts).
     pub errors: ErrorStats,
@@ -841,6 +844,7 @@ impl RunSummary {
                 "learnt_import_skipped".into(),
                 Value::Number(Number::U(i.learnt_import_skipped)),
             ),
+            ("model_encode_ns".into(), dur(self.model_encode_time)),
         ]);
         let opt_str = |s: &Option<String>| match s {
             Some(v) => Value::String(v.clone()),
@@ -867,8 +871,9 @@ impl RunSummary {
         // append-only — every v1 field keeps its name, type, and meaning,
         // and consumers must ignore unknown fields. v2 adds: `col` on
         // coverage.missed entries, `resume.replayed_trails`,
-        // `provenance_records`, (CLI-side) `status_endpoint`, and
-        // `differential` (null outside `p4testgen diff` runs).
+        // `provenance_records`, (CLI-side) `status_endpoint`,
+        // `differential` (null outside `p4testgen diff` runs), and
+        // `solver.model_encode_ns`.
         Value::Object(vec![
             ("schema".into(), Value::String("p4testgen-run-summary/v2".into())),
             ("tests".into(), Value::Number(Number::U(self.tests))),
@@ -1989,6 +1994,7 @@ impl<T: Target> Testgen<T> {
             memo_hits,
             solver_mode: self.config.solver_mode,
             solver: run_inc,
+            model_encode_time: run_solver.model_encode_time,
             errors,
             test_trails,
             trace,
@@ -2202,6 +2208,7 @@ fn merge_solver_stats(into: &mut SolverStats, from: &SolverStats) {
     into.unknown_results += from.unknown_results;
     into.solve_time += from.solve_time;
     into.sat_time += from.sat_time;
+    into.model_encode_time += from.model_encode_time;
     for (i, f) in into.conflicts_per_check_hist.iter_mut().zip(from.conflicts_per_check_hist.iter())
     {
         *i += f;

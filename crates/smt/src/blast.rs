@@ -47,6 +47,20 @@ impl Blaster {
         }
     }
 
+    /// Empty the blaster for reuse over `sat`, which must just have been
+    /// [`SatSolver::reset`]: the caches keep their capacity, and the
+    /// pinned-true variable is claimed exactly as [`Blaster::new`] does.
+    pub fn reset(&mut self, sat: &mut SatSolver) {
+        debug_assert_eq!(sat.num_vars(), 0, "Blaster::reset over a non-empty SAT instance");
+        let t = sat.new_var();
+        sat.add_clause(&[Lit::positive(t)]);
+        self.cache.clear();
+        self.var_bits.clear();
+        self.encoded_vars.clear();
+        self.true_lit = Lit::positive(t);
+        self.stats = BlastStats::default();
+    }
+
     fn false_lit(&self) -> Lit {
         self.true_lit.negate()
     }

@@ -22,10 +22,11 @@
 //!   on simplified structure.
 //! * [`solver::Solver`] — the push/pop facade used by the symbolic
 //!   executor, with timing statistics for the Fig. 7 experiment. Two
-//!   disciplines behind one API: fresh-per-check for model-bearing
-//!   queries, and (by default) warm assumption-based incremental solving
-//!   along the DFS spine for verdict-only feasibility checks, with an
-//!   optional cross-worker learnt-clause exchange.
+//!   disciplines behind one API: history-free per check on a recycled
+//!   instance for model-bearing queries, and (by default) warm
+//!   assumption-based incremental solving along the DFS spine for
+//!   verdict-only feasibility checks, with an optional cross-worker
+//!   learnt-clause exchange.
 //! * [`mod@eval`] — reference concrete evaluation of terms, used for model
 //!   checking, concolic execution, and cross-validation property tests.
 //!

@@ -139,7 +139,7 @@ pub const LEARNT_SIZE_BOUNDS: [u64; 8] = [1, 2, 3, 4, 8, 16, 32, 64];
 
 /// Statistics from the solver, surfaced in the Fig. 7 harness and folded
 /// into the metrics registry by the exploration engine.
-#[derive(Default, Clone, Debug)]
+#[derive(Default, Clone, Debug, PartialEq, Eq)]
 pub struct SatStats {
     pub decisions: u64,
     pub propagations: u64,
@@ -157,10 +157,17 @@ pub struct SatStats {
 /// added with [`SatSolver::add_clause`], and satisfiability queried with
 /// [`SatSolver::solve`]. Clauses persist across solve calls; per-query
 /// context is passed via assumptions, which is how the incremental push/pop
-/// facade in [`crate::solver`] is built.
+/// facade in [`crate::solver`] is built. [`SatSolver::reset`] empties an
+/// instance for reuse without giving its allocations back.
 pub struct SatSolver {
     clauses: Vec<Clause>,
+    /// Watch lists, two per variable. May be longer than `2 * num_vars()`
+    /// after a [`SatSolver::reset`]: the surplus lists are empty and wait
+    /// for `new_var` to claim them.
     watches: Vec<Vec<ClauseRef>>,
+    /// Emptied literal buffers of clauses dropped by `reset` (and of
+    /// clauses `add_clause` did not attach), drawn on for new clauses.
+    free_lits: Vec<Vec<Lit>>,
     assigns: Vec<Value>,
     levels: Vec<u32>,
     reasons: Vec<Option<ClauseRef>>,
@@ -195,6 +202,7 @@ impl SatSolver {
         SatSolver {
             clauses: Vec::new(),
             watches: Vec::new(),
+            free_lits: Vec::new(),
             assigns: Vec::new(),
             levels: Vec::new(),
             reasons: Vec::new(),
@@ -211,6 +219,50 @@ impl SatSolver {
             cla_inc: 1.0,
             stats: SatStats::default(),
         }
+    }
+
+    /// Return to exactly the [`SatSolver::new`] state while keeping every
+    /// allocation: per-variable arrays and watch lists are emptied in place
+    /// and clause literal buffers go to a free list. Replaying the same
+    /// `new_var`/`add_clause` sequence afterwards rebuilds the same clause
+    /// order, watch order, heap, phases and level-0 trail as on a new
+    /// instance, so verdicts, models and [`SatStats`] are identical.
+    pub fn reset(&mut self) {
+        for c in self.clauses.drain(..) {
+            let mut lits = c.lits;
+            lits.clear();
+            self.free_lits.push(lits);
+        }
+        // Lists past `2 * num_vars()` are already empty.
+        for w in &mut self.watches[..2 * self.assigns.len()] {
+            w.clear();
+        }
+        self.assigns.clear();
+        self.levels.clear();
+        self.reasons.clear();
+        self.trail.clear();
+        self.trail_lim.clear();
+        self.qhead = 0;
+        self.activity.clear();
+        self.var_inc = 1.0;
+        self.heap.clear();
+        self.heap_pos.clear();
+        self.phases.clear();
+        self.seen.clear();
+        self.ok = true;
+        self.cla_inc = 1.0;
+        self.stats = SatStats::default();
+    }
+
+    /// An empty literal buffer, recycled when one is free.
+    fn take_lits(&mut self) -> Vec<Lit> {
+        self.free_lits.pop().unwrap_or_default()
+    }
+
+    /// Return an emptied literal buffer to the free list.
+    fn give_lits(&mut self, mut lits: Vec<Lit>) {
+        lits.clear();
+        self.free_lits.push(lits);
     }
 
     /// Number of variables.
@@ -252,8 +304,10 @@ impl SatSolver {
         self.phases.push(false);
         self.seen.push(false);
         self.heap_pos.push(None);
-        self.watches.push(Vec::new());
-        self.watches.push(Vec::new());
+        let need = 2 * self.assigns.len();
+        if self.watches.len() < need {
+            self.watches.resize_with(need, Vec::new);
+        }
         self.heap_insert(v);
         v
     }
@@ -284,14 +338,19 @@ impl SatSolver {
             return false;
         }
         // Simplify: drop duplicate/false literals, detect tautology/satisfied.
-        let mut cl: Vec<Lit> = Vec::with_capacity(lits.len());
+        let mut cl = self.take_lits();
         for &l in lits {
             match self.value_lit(l) {
-                Value::True => return true, // already satisfied at level 0
+                Value::True => {
+                    // Already satisfied at level 0.
+                    self.give_lits(cl);
+                    return true;
+                }
                 Value::False => continue,
                 Value::Unassigned => {
                     if cl.contains(&l.negate()) {
-                        return true; // tautology
+                        self.give_lits(cl); // tautology
+                        return true;
                     }
                     if !cl.contains(&l) {
                         cl.push(l);
@@ -301,11 +360,14 @@ impl SatSolver {
         }
         match cl.len() {
             0 => {
+                self.give_lits(cl);
                 self.ok = false;
                 false
             }
             1 => {
-                self.enqueue(cl[0], None);
+                let unit = cl[0];
+                self.give_lits(cl);
+                self.enqueue(unit, None);
                 if self.propagate().is_some() {
                     self.ok = false;
                 }
@@ -318,6 +380,8 @@ impl SatSolver {
         }
     }
 
+    /// Attach a clause of at least two literals, taking ownership of its
+    /// buffer (drawn from the free list by the callers).
     fn attach_clause(&mut self, lits: Vec<Lit>, learnt: bool) -> ClauseRef {
         debug_assert!(lits.len() >= 2);
         let cref = ClauseRef(self.clauses.len() as u32);
@@ -416,7 +480,8 @@ impl SatSolver {
     /// Conflict analysis producing a first-UIP learnt clause and the level to
     /// backtrack to.
     fn analyze(&mut self, mut conflict: ClauseRef) -> (Vec<Lit>, u32) {
-        let mut learnt: Vec<Lit> = vec![Lit(0)]; // slot 0 reserved for the UIP
+        let mut learnt = self.take_lits();
+        learnt.push(Lit(0)); // slot 0 reserved for the UIP
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut trail_idx = self.trail.len();
@@ -590,6 +655,7 @@ impl SatSolver {
                 let (learnt, bt_level) = self.analyze(conflict);
                 let assumption_level = self.assumption_level(assumptions);
                 if self.decision_level() <= assumption_level {
+                    self.give_lits(learnt);
                     return SatResult::Unsat;
                 }
                 let bt = bt_level;
@@ -599,24 +665,26 @@ impl SatSolver {
                 let size = learnt.len() as u64;
                 self.stats.learnt_size_hist
                     [LEARNT_SIZE_BOUNDS.partition_point(|&b| b < size)] += 1;
+                let asserting = learnt[0];
                 if learnt.len() == 1 {
+                    self.give_lits(learnt);
                     if self.decision_level() > 0 {
                         self.backtrack(0);
                         // Re-establish assumptions on the next loop iterations.
                     }
-                    if self.value_lit(learnt[0]) == Value::False {
+                    if self.value_lit(asserting) == Value::False {
                         self.ok = false;
                         return SatResult::Unsat;
                     }
-                    if self.value_lit(learnt[0]) == Value::Unassigned {
-                        self.enqueue(learnt[0], None);
+                    if self.value_lit(asserting) == Value::Unassigned {
+                        self.enqueue(asserting, None);
                     }
                 } else {
                     // The learnt clause is asserting at the backtrack level,
                     // unless we had to jump further back for assumptions.
-                    let cref = self.attach_clause(learnt.clone(), true);
-                    if self.value_lit(learnt[0]) == Value::Unassigned {
-                        self.enqueue(learnt[0], Some(cref));
+                    let cref = self.attach_clause(learnt, true);
+                    if self.value_lit(asserting) == Value::Unassigned {
+                        self.enqueue(asserting, Some(cref));
                     }
                 }
                 self.var_inc /= VAR_DECAY;
@@ -958,6 +1026,90 @@ mod tests {
                 assert!(c.iter().any(|l| s.model_value(l.var()) == l.is_positive()));
             }
         }
+    }
+
+    /// Everything that decides a solver's future behavior, rendered for
+    /// comparison (watch lists past `2 * num_vars()` are required empty).
+    fn state_of(s: &SatSolver) -> String {
+        let n = s.num_vars();
+        assert!(s.watches[2 * n..].iter().all(Vec::is_empty), "surplus watch list in use");
+        let clauses: Vec<_> =
+            s.clauses.iter().map(|c| (&c.lits, c.learnt, c.activity, c.deleted)).collect();
+        format!(
+            "{clauses:?} {:?} {:?} {:?} {:?} {:?} {:?} {} {:?} {:?} {:?} {:?} {:?} {} {} {:?}",
+            &s.watches[..2 * n],
+            s.assigns,
+            s.levels,
+            s.reasons,
+            s.trail,
+            s.trail_lim,
+            s.qhead,
+            s.activity,
+            s.heap,
+            s.heap_pos,
+            s.phases,
+            s.seen,
+            s.ok,
+            s.cla_inc,
+            (s.var_inc, &s.stats),
+        )
+    }
+
+    /// Random 3-SAT near the satisfiability threshold, so solving conflicts
+    /// and learns clauses.
+    fn random_3sat(s: &mut SatSolver, seed: u64, n: usize, m: usize) {
+        let mut x = seed;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let vs = lits(s, n);
+        for _ in 0..m {
+            let c: Vec<Lit> = (0..3)
+                .map(|_| Lit::new(vs[(next() % n as u64) as usize], next() % 2 == 0))
+                .collect();
+            s.add_clause(&c);
+        }
+    }
+
+    #[test]
+    fn reset_reproduces_a_new_instance() {
+        type Build = Box<dyn Fn(&mut SatSolver)>;
+        let problems: Vec<(&str, Build, u64)> = vec![
+            ("PH(6,5)", Box::new(|s| pigeonhole(s, 5)), 0),
+            ("3-SAT 40/170", Box::new(|s| random_3sat(s, 0x9E37_79B9, 40, 170)), 0),
+            ("PH(4,3)", Box::new(|s| pigeonhole(s, 3)), 0),
+            ("3-SAT 60/255 seeded", Box::new(|s| random_3sat(s, 0xDEAD_BEEF, 60, 255)), 7),
+            ("3-SAT 30/128", Box::new(|s| random_3sat(s, 42, 30, 128)), 0),
+        ];
+        // One instance carries every problem in turn (the first solve leaves
+        // learnt clauses and more variables than later problems need).
+        let mut recycled = SatSolver::new();
+        let mut learnt_seen = false;
+        for (i, (name, build, seed)) in problems.iter().enumerate() {
+            if i > 0 {
+                recycled.reset();
+            }
+            let mut fresh = SatSolver::new();
+            build(&mut recycled);
+            build(&mut fresh);
+            assert_eq!(state_of(&recycled), state_of(&fresh), "{name}: built state");
+            recycled.seed_phases(*seed);
+            fresh.seed_phases(*seed);
+            let r = recycled.solve(&[]);
+            assert_eq!(r, fresh.solve(&[]), "{name}: verdict");
+            assert_eq!(recycled.stats, fresh.stats, "{name}: stats");
+            assert_eq!(state_of(&recycled), state_of(&fresh), "{name}: solved state");
+            if r == SatResult::Sat {
+                for v in 0..fresh.num_vars() as u32 {
+                    assert_eq!(recycled.model_value(SatVar(v)), fresh.model_value(SatVar(v)));
+                }
+            }
+            learnt_seen |= fresh.stats.learnt_clauses > 0;
+        }
+        assert!(learnt_seen, "no problem exercised clause learning");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Solver facade: scoped assertions, model extraction, solve statistics,
-//! and the engine's two checking disciplines — fresh-per-check for
-//! model-bearing queries, warm incremental spine solving for feasibility
-//! verdicts.
+//! and the engine's two checking disciplines — history-free per check on a
+//! recycled instance for model-bearing queries, warm incremental spine
+//! solving for feasibility verdicts.
 //!
 //! This is the interface the symbolic executor talks to — the analogue of
 //! the paper's "Z3 configured with incremental solving". Two kinds of query
@@ -9,13 +9,24 @@
 //! speed with deterministic output:
 //!
 //! * [`Solver::check_assuming`] (and [`Solver::check`]) are **model-bearing
-//!   and fresh-per-check**: the cone of the constraint set is encoded into
-//!   a brand-new SAT instance, solved, and kept for model extraction. CNF
-//!   variables are numbered by the blaster's structural traversal of that
-//!   cone alone, so the model is a pure function of the constraint set —
-//!   never of what this worker (or any other) solved before. Every byte of
-//!   an emitted test descends from one of these checks, which is what keeps
-//!   suites byte-identical across job counts *and across solver modes*.
+//!   and history-free per check on a recycled instance**: the solver keeps
+//!   one [`SatSolver`] + [`Blaster`] pair, resets both to the new-instance
+//!   state ([`SatSolver::reset`], [`Blaster::reset`]; allocations are kept,
+//!   contents are not), encodes the cone of the constraint set, solves, and
+//!   keeps the pair for model extraction. CNF variables are numbered by the
+//!   blaster's structural traversal of that cone alone, and the reset
+//!   instance replays the same `new_var`/`add_clause` sequence a new one
+//!   would, so clause order, watch order, VSIDS heap and phases — and hence
+//!   the model — are a pure function of the constraint set, never of what
+//!   this worker (or any other) solved before. Every byte of an emitted
+//!   test descends from one of these checks, which is what keeps suites
+//!   byte-identical across job counts *and across solver modes*.
+//!
+//!   Recycling removes only allocation, which dominated: a check builds
+//!   about 900 variables and clauses from a few dozen term nodes. Cloning
+//!   a snapshot taken after the shared constraint prefix was measured at
+//!   twice the cost of encoding from scratch and rejected (DESIGN.md,
+//!   "Incremental spine solving").
 //!
 //! * [`Solver::check_feasible`] is **verdict-only**. In
 //!   [`SolverMode::Incremental`] (the default) the solver keeps one warm
@@ -32,7 +43,7 @@
 //!   across checks cannot change them; it only changes how fast they are
 //!   reached.
 //!
-//! The old fresh-per-check-everywhere design was motivated by a real
+//! The old history-free-everywhere design was motivated by a real
 //! problem: a monotonically growing instance forces every solve to assign
 //! every Tseitin variable ever created by any path, so solving scaled with
 //! the *total* work of the run. The warm core bounds that instead of
@@ -50,7 +61,8 @@
 //! with no SAT call at all. The pass preserves satisfiability, not models,
 //! which is exactly why it is confined to the verdict-only path.
 //!
-//! Fresh mode is still used, even under [`SolverMode::Incremental`], when:
+//! The history-free path (the recycled instance) is still used, even under
+//! [`SolverMode::Incremental`], when:
 //!
 //! * the query is model-bearing (`check`/`check_assuming`) — emission,
 //!   concolic resolution, and random-proposal re-checks;
@@ -95,11 +107,13 @@ pub enum CheckResult {
 }
 
 /// How feasibility checks are solved. Model-bearing checks are always
-/// fresh-per-check regardless of mode (see the module docs).
+/// history-free per check on a recycled instance, regardless of mode (see
+/// the module docs).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum SolverMode {
-    /// Every check builds a fresh SAT instance (the pre-incremental
-    /// behavior; also the reference the determinism suite compares against).
+    /// Every check runs history-free on the recycled instance (the
+    /// pre-incremental behavior; also the reference the determinism suite
+    /// compares against).
     Fresh,
     /// Feasibility checks reuse a warm per-worker SAT core along the DFS
     /// spine (the default).
@@ -150,6 +164,10 @@ pub struct SolverStats {
     pub solve_time: Duration,
     /// Wall time spent purely in the SAT search.
     pub sat_time: Duration,
+    /// Wall time of model-bearing checks from check start to solve start:
+    /// resetting the recycled instance and blasting the constraint set.
+    /// Part of `solve_time - sat_time`.
+    pub model_encode_time: Duration,
     /// Non-cumulative histogram of SAT conflicts per check: cell `i` counts
     /// checks with `conflicts <= CONFLICTS_PER_CHECK_BOUNDS[i]`; the final
     /// cell is the overflow. Per-check conflict deltas are exact in both
@@ -164,8 +182,8 @@ pub struct SolverStats {
 pub struct IncrementalStats {
     /// Feasibility checks answered by the warm spine core.
     pub warm_checks: u64,
-    /// Feasibility checks that fell back to a fresh instance while in
-    /// incremental mode (budgeted query, phase-seed retry).
+    /// Feasibility checks that fell back to the history-free recycled
+    /// instance while in incremental mode (budgeted query, phase-seed retry).
     pub fresh_fallbacks: u64,
     /// Warm-core rebuilds triggered by the garbage-growth policy (or by
     /// defensive recovery).
@@ -470,8 +488,8 @@ pub struct Solver {
     /// Terms asserted, partitioned into scopes by `scope_marks`.
     asserted_terms: Vec<TermId>,
     scope_marks: Vec<usize>,
-    /// The SAT instance and blaster from the most recent *model-bearing*
-    /// check (kept for model extraction).
+    /// The SAT instance and blaster of the most recent history-free check,
+    /// kept for model extraction and reset for reuse by the next one.
     last: Option<(SatSolver, Blaster)>,
     /// Accumulated SAT-core statistics across all checks.
     sat_totals: crate::sat::SatStats,
@@ -552,8 +570,8 @@ impl Solver {
     /// Scramble initial decision phases for subsequent checks (0 restores
     /// the default). Used to retry an Unknown query along a different
     /// search order; while a non-zero seed is set, feasibility checks run
-    /// fresh-per-check so the scramble applies to a history-free search and
-    /// stays fully deterministic.
+    /// history-free per check so the scramble applies to a history-free
+    /// search and stays fully deterministic.
     pub fn set_phase_seed(&mut self, seed: u64) {
         self.phase_seed = seed;
     }
@@ -586,13 +604,34 @@ impl Solver {
     }
 
     /// Model-bearing check with extra transient assumptions (1-bit terms).
-    /// Always fresh-per-check: the verdict *and the model* are a pure
-    /// function of the constraint set (plus budget and phase seed) — this
-    /// is the only check whose model may be read afterwards.
+    /// History-free per check on a recycled instance: the verdict *and the
+    /// model* are a pure function of the constraint set (plus budget and
+    /// phase seed) — this is the only check whose model may be read
+    /// afterwards.
     pub fn check_assuming(&mut self, pool: &TermPool, extra: &[TermId]) -> CheckResult {
+        let (res, encode) = self.check_recycled(pool, extra);
+        self.stats.model_encode_time += encode;
+        res
+    }
+
+    /// Check `asserted ∧ extra` on the recycled instance, which is reset to
+    /// the new-instance state first and kept afterwards for model
+    /// extraction. Returns the verdict and the time from check start to
+    /// solve start.
+    fn check_recycled(&mut self, pool: &TermPool, extra: &[TermId]) -> (CheckResult, Duration) {
         let t0 = Instant::now();
-        let mut sat = SatSolver::new();
-        let mut blaster = Blaster::new(&mut sat);
+        let (mut sat, mut blaster) = match self.last.take() {
+            Some((mut sat, mut blaster)) => {
+                sat.reset();
+                blaster.reset(&mut sat);
+                (sat, blaster)
+            }
+            None => {
+                let mut sat = SatSolver::new();
+                let blaster = Blaster::new(&mut sat);
+                (sat, blaster)
+            }
+        };
         let mut ok = true;
         for &t in self.asserted_terms.iter().chain(extra) {
             debug_assert_eq!(pool.width(t), 1, "assumptions must be 1-bit terms");
@@ -610,7 +649,6 @@ impl Solver {
             SatResult::Unsat
         };
         self.stats.sat_time += t1.elapsed();
-        self.stats.solve_time += t0.elapsed();
         self.stats.checks += 1;
         self.stats.conflicts_per_check_hist
             [CONFLICTS_PER_CHECK_BOUNDS.partition_point(|&b| b < sat.stats.conflicts)] += 1;
@@ -618,7 +656,8 @@ impl Solver {
         self.inc_stats.blast_cache_misses += blaster.stats.cache_misses;
         accumulate(&mut self.sat_totals, &sat.stats);
         self.last = Some((sat, blaster));
-        self.count_result(res)
+        self.stats.solve_time += t0.elapsed();
+        (self.count_result(res), t1 - t0)
     }
 
     /// Verdict-only feasibility check of `asserted ∧ extra`. In incremental
@@ -635,7 +674,7 @@ impl Solver {
             if self.mode == SolverMode::Incremental {
                 self.inc_stats.fresh_fallbacks += 1;
             }
-            return self.check_assuming(pool, extra);
+            return self.check_recycled(pool, extra).0;
         }
         self.check_warm(pool, extra)
     }
@@ -1139,6 +1178,193 @@ mod tests {
         assert_eq!(b.check_assuming(&pool, &[lt1]), CheckResult::Sat);
         let crate::term::Node::Var(v) = *pool.node(x) else { panic!() };
         assert!(b.model_value(&pool, v).is_zero());
+    }
+
+    // ---- the recycled model-bearing instance ------------------------------
+
+    /// One generated constraint over the [`query_vars`] table. Binary
+    /// operators zero-extend both sides to 16 bits; `UDivEq`/`URemEq` add
+    /// fresh pool variables each time they are blasted.
+    #[derive(Clone, Debug)]
+    enum Q {
+        EqConst(usize, u16),
+        Ult(usize, usize),
+        AddEq(usize, usize, u16),
+        UDivEq(usize, u16, u16),
+        URemEq(usize, usize, u16),
+        MulNeq(usize, usize, u16),
+    }
+
+    #[derive(Clone, Debug)]
+    struct Query {
+        asserted: Vec<Q>,
+        extra: Vec<Q>,
+        phase_seed: u64,
+        conflict_budget: u64,
+        /// Add [`hard_query`]'s factoring constraints.
+        hard: bool,
+    }
+
+    /// Variables of widths 3, 8, 16 and 8, created in the same order in
+    /// every pool so that `VarId`s agree across pools.
+    fn query_vars(pool: &TermPool) -> Vec<TermId> {
+        [3, 8, 16, 8].iter().enumerate().map(|(i, &w)| pool.fresh_var(format!("q{i}"), w)).collect()
+    }
+
+    fn q_term(pool: &TermPool, vars: &[TermId], q: &Q) -> TermId {
+        let var = |i: usize| vars[i % vars.len()];
+        let wide = |i: usize| pool.zext(var(i), 16);
+        let c16 = |c: u16| pool.const_u128(16, u128::from(c));
+        match *q {
+            Q::EqConst(v, c) => {
+                let w = pool.width(var(v));
+                pool.eq(var(v), pool.const_u128(w, u128::from(c) & ((1u128 << w) - 1)))
+            }
+            Q::Ult(a, b) => pool.ult(wide(a), wide(b)),
+            Q::AddEq(a, b, c) => pool.eq(pool.add(wide(a), wide(b)), c16(c)),
+            Q::UDivEq(a, d, c) => {
+                pool.eq(pool.bin(crate::term::BinOp::UDiv, wide(a), c16(d)), c16(c))
+            }
+            Q::URemEq(a, b, c) => {
+                pool.eq(pool.bin(crate::term::BinOp::URem, wide(a), wide(b)), c16(c))
+            }
+            Q::MulNeq(a, b, c) => pool.neq(pool.mul(wide(a), wide(b)), c16(c)),
+        }
+    }
+
+    fn run_query(s: &mut Solver, pool: &TermPool, vars: &[TermId], q: &Query) -> CheckResult {
+        s.set_phase_seed(q.phase_seed);
+        s.set_budget(crate::sat::SolveBudget::conflicts(q.conflict_budget));
+        s.push();
+        if q.hard {
+            hard_query(pool, s);
+        }
+        for c in &q.asserted {
+            s.assert(pool, q_term(pool, vars, c));
+        }
+        let extra: Vec<TermId> = q.extra.iter().map(|c| q_term(pool, vars, c)).collect();
+        let res = s.check_assuming(pool, &extra);
+        s.pop();
+        res
+    }
+
+    /// The exact counters of a solver (everything but the timings).
+    fn counters(s: &Solver) -> Vec<u64> {
+        let (st, sat) = (&s.stats, &s.sat_totals);
+        let mut c = vec![st.checks, st.sat_results, st.unsat_results, st.unknown_results];
+        c.extend(st.conflicts_per_check_hist);
+        c.extend([s.inc_stats.blast_cache_hits, s.inc_stats.blast_cache_misses]);
+        c.extend([sat.decisions, sat.propagations, sat.conflicts, sat.restarts]);
+        c.extend([sat.learnt_clauses, sat.learnt_literals]);
+        c.extend(sat.learnt_size_hist);
+        c
+    }
+
+    fn arb_q() -> impl proptest::strategy::Strategy<Value = Q> {
+        use proptest::prelude::*;
+        prop_oneof![
+            (0..4usize, any::<u16>()).prop_map(|(v, c)| Q::EqConst(v, c)),
+            (0..4usize, 0..4usize).prop_map(|(a, b)| Q::Ult(a, b)),
+            (0..4usize, 0..4usize, any::<u16>()).prop_map(|(a, b, c)| Q::AddEq(a, b, c)),
+            (0..4usize, 1..20u16, 0..300u16).prop_map(|(a, d, c)| Q::UDivEq(a, d, c)),
+            (0..4usize, 0..4usize, 0..8u16).prop_map(|(a, b, c)| Q::URemEq(a, b, c)),
+            (0..4usize, 0..4usize, any::<u16>()).prop_map(|(a, b, c)| Q::MulNeq(a, b, c)),
+        ]
+    }
+
+    fn arb_query() -> impl proptest::strategy::Strategy<Value = Query> {
+        use proptest::prelude::*;
+        // Mostly default phases and no budget.
+        let seed = prop_oneof![Just(0u64), Just(0u64), Just(0u64), 1..u64::MAX];
+        let budget = prop_oneof![Just(0u64), Just(0u64), Just(0u64), 1..40u64];
+        (
+            proptest::collection::vec(arb_q(), 0..4),
+            proptest::collection::vec(arb_q(), 0..3),
+            seed,
+            budget,
+        )
+            .prop_map(|(asserted, extra, phase_seed, conflict_budget)| Query {
+                asserted,
+                extra,
+                phase_seed,
+                conflict_budget,
+                hard: false,
+            })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// A solver that recycles its instance across a sequence of
+        /// model-bearing checks answers exactly like a new solver per check:
+        /// same verdicts, same model for every pool variable, same counters.
+        /// Every sequence holds a check that latches Unsat while encoding, a
+        /// phase-seeded check, and a budgeted check that ends Unknown.
+        #[test]
+        fn recycled_instance_matches_new_solver_per_check(
+            queries in proptest::collection::vec(arb_query(), 1..8),
+            at in proptest::collection::vec(0..8usize, 3),
+            latch_var in 0..4usize,
+            latch_c: u16,
+            seed in 1..u64::MAX,
+        ) {
+            let latch = vec![Q::EqConst(latch_var, latch_c), Q::EqConst(latch_var, latch_c ^ 1)];
+            let specials = [
+                Query {
+                    asserted: latch,
+                    extra: vec![],
+                    phase_seed: 0,
+                    conflict_budget: 0,
+                    hard: false,
+                },
+                Query {
+                    asserted: vec![Q::Ult(0, 2), Q::URemEq(2, 1, 3)],
+                    extra: vec![Q::UDivEq(1, 3, 5)],
+                    phase_seed: seed,
+                    conflict_budget: 0,
+                    hard: false,
+                },
+                Query {
+                    asserted: vec![],
+                    extra: vec![],
+                    phase_seed: 0,
+                    conflict_budget: 2,
+                    hard: true,
+                },
+            ];
+            let mut queries = queries;
+            for (special, &i) in specials.into_iter().zip(&at) {
+                let i = i.min(queries.len());
+                queries.insert(i, special);
+            }
+            let (pool_r, pool_n) = (TermPool::new(), TermPool::new());
+            let (vars_r, vars_n) = (query_vars(&pool_r), query_vars(&pool_n));
+            let mut recycled = Solver::new();
+            let (mut latched, mut unknown) = (false, false);
+            for (k, q) in queries.iter().enumerate() {
+                let before = counters(&recycled);
+                let r = run_query(&mut recycled, &pool_r, &vars_r, q);
+                let mut fresh = Solver::new();
+                let n = run_query(&mut fresh, &pool_n, &vars_n, q);
+                proptest::prop_assert_eq!(r, n, "query {}: verdict", k);
+                let delta: Vec<u64> =
+                    counters(&recycled).iter().zip(&before).map(|(a, b)| a - b).collect();
+                proptest::prop_assert_eq!(delta, counters(&fresh), "query {}: counters", k);
+                proptest::prop_assert_eq!(pool_r.num_vars(), pool_n.num_vars());
+                for v in 0..pool_r.num_vars() as u32 {
+                    proptest::prop_assert_eq!(
+                        recycled.model_value(&pool_r, VarId(v)),
+                        fresh.model_value(&pool_n, VarId(v)),
+                        "query {}: model of variable {}", k, v
+                    );
+                }
+                latched |= r == CheckResult::Unsat
+                    && !recycled.last.as_ref().expect("instance kept").0.is_ok();
+                unknown |= r == CheckResult::Unknown;
+            }
+            proptest::prop_assert!(latched, "no check latched Unsat while encoding");
+            proptest::prop_assert!(unknown, "no budgeted check ended Unknown");
+        }
     }
 
     #[test]

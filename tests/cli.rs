@@ -30,7 +30,12 @@ fn write_program() -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("p4testgen_cli_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("prog.p4");
-    std::fs::write(&path, PROGRAM).unwrap();
+    // Tests run in parallel and share this file: write a private copy and
+    // rename it into place, so a concurrent reader never sees the file
+    // truncated mid-rewrite.
+    let tmp = dir.join(format!("prog.p4.{:?}", std::thread::current().id()));
+    std::fs::write(&tmp, PROGRAM).unwrap();
+    std::fs::rename(&tmp, &path).unwrap();
     path
 }
 
@@ -170,6 +175,16 @@ fn cli_observability_outputs_round_trip() {
     // The differential section exists (append-only v2) and is null outside
     // `p4testgen diff` runs.
     assert!(summary_v.get("differential").is_some_and(|v| v.is_null()));
+    // Every emitted test came from a model-bearing check, so their encode
+    // time is reported and non-zero.
+    assert!(
+        summary_v
+            .get("solver")
+            .and_then(|s| s.get("model_encode_ns"))
+            .and_then(|v| v.as_u64())
+            .is_some_and(|v| v > 0),
+        "solver.model_encode_ns missing or zero"
+    );
     let tests_emitted = metrics_v
         .get("metrics")
         .and_then(|m| m.as_array())
