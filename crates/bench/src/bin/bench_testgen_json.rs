@@ -73,8 +73,6 @@ struct EnginePoint {
     spine_roots_blasted: u64,
     blast_cache_hits: u64,
     blast_cache_misses: u64,
-    learnt_exported: u64,
-    learnt_imported: u64,
     pool_terms: u64,
     worker_steals: u64,
     worker_busy_ns: u64,
@@ -152,16 +150,6 @@ fn measure(w: &Workload, mode: SolverMode, jobs: usize) -> (f64, u64, u64, Engin
                 &reg,
                 "p4testgen_blast_cache_total",
                 &[("outcome", "miss")],
-            ),
-            learnt_exported: counter_l(
-                &reg,
-                "p4testgen_learnt_exchange_total",
-                &[("dir", "exported")],
-            ),
-            learnt_imported: counter_l(
-                &reg,
-                "p4testgen_learnt_exchange_total",
-                &[("dir", "imported")],
             ),
             pool_terms: reg.gauge_value("p4testgen_pool_terms", &[]).unwrap_or(0),
             worker_steals: counter(&reg, "p4testgen_worker_steals_total"),

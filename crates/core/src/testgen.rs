@@ -45,7 +45,7 @@ use p4t_smt::solver::{
     IncrementalStats, SolverStats, CONFLICTS_PER_CHECK_BOUNDS, SPINE_PER_CHECK_BOUNDS,
 };
 use p4t_smt::{
-    eval, stable_fingerprint, Assignment, BitVec, CheckResult, ClauseExchange, SolveBudget, Solver,
+    eval, stable_fingerprint, Assignment, BitVec, CheckResult, SolveBudget, Solver,
     SolverMode, TermId, TermPool, VarId,
 };
 use parking_lot::Mutex;
@@ -570,7 +570,7 @@ pub struct RunSummary {
     pub memo_hits: u64,
     /// Feasibility-check discipline this run used.
     pub solver_mode: SolverMode,
-    /// Warm-spine / simplifier / blast-cache / clause-exchange counters for
+    /// Warm-spine / simplifier / blast-cache counters for
     /// this run (all zero under [`SolverMode::Fresh`] except the blast-cache
     /// ones, which fresh instances also report).
     pub solver: IncrementalStats,
@@ -838,12 +838,11 @@ impl RunSummary {
             ("simplify_substitutions".into(), Value::Number(Number::U(i.simplify.substitutions))),
             ("simplify_dropped_true".into(), Value::Number(Number::U(i.simplify.dropped_true))),
             ("simplify_fast_unsat".into(), Value::Number(Number::U(i.simplify.fast_unsat))),
-            ("learnt_exported".into(), Value::Number(Number::U(i.learnt_exported))),
-            ("learnt_imported".into(), Value::Number(Number::U(i.learnt_imported))),
-            (
-                "learnt_import_skipped".into(),
-                Value::Number(Number::U(i.learnt_import_skipped)),
-            ),
+            // Workers exchange no learnt clauses; the keys stay, as 0,
+            // because the summary schema is append-only.
+            ("learnt_exported".into(), Value::Number(Number::U(0))),
+            ("learnt_imported".into(), Value::Number(Number::U(0))),
+            ("learnt_import_skipped".into(), Value::Number(Number::U(0))),
             ("model_encode_ns".into(), dur(self.model_encode_time)),
         ]);
         let opt_str = |s: &Option<String>| match s {
@@ -1153,10 +1152,6 @@ struct Shared<'a, T: Target> {
     paths_started: AtomicU64,
     coverage: SharedCoverage,
     memo: FeasMemo,
-    /// Cross-worker learnt-clause pool, created when the run is incremental
-    /// with more than one worker. Clause traffic influences only warm-core
-    /// search order, never verdicts, so it cannot perturb the emitted suite.
-    exchange: Option<Arc<ClauseExchange>>,
     stealers: Vec<Stealer<Pending>>,
     /// Run start, for the cooperative deadline below.
     started: Instant,
@@ -1329,7 +1324,7 @@ struct WorkerOut {
     phases: PhaseStats,
     solver_stats: SolverStats,
     sat_stats: SatStats,
-    /// Warm-spine / simplifier / blast-cache / exchange counters.
+    /// Warm-spine / simplifier / blast-cache counters.
     inc_stats: IncrementalStats,
     /// This worker's trace buffer (populated only under `ObsConfig::trace`).
     trace: Option<TraceLog>,
@@ -1648,8 +1643,6 @@ impl<T: Target> Testgen<T> {
             } else {
                 FeasMemo::new()
             },
-            exchange: (self.config.solver_mode == SolverMode::Incremental && jobs > 1)
-                .then(|| Arc::new(ClauseExchange::new())),
             stealers: Vec::new(),
             started: t_start,
             deadline: self.config.fault_plan.deadline_override.or(self.config.deadline),
@@ -2086,8 +2079,7 @@ fn fold_run_metrics(reg: &Registry, f: &FoldInputs<'_>) {
     reg.counter("p4testgen_memo_lookups_total", "feasibility-memo lookups").add(f.memo_lookups);
     reg.counter("p4testgen_memo_hits_total", "feasibility-memo hits").add(f.memo_hits);
 
-    // The incremental layer: warm spine core, simplifier, blast cache,
-    // cross-worker clause exchange.
+    // The incremental layer: warm spine core, simplifier, blast cache.
     let inc = f.run_inc;
     let warm_help = "feasibility checks by solving discipline";
     reg.counter_with("p4testgen_feasibility_checks_total", warm_help, &[("path", "warm")])
@@ -2127,13 +2119,6 @@ fn fold_run_metrics(reg: &Registry, f: &FoldInputs<'_>) {
         .add(inc.simplify.dropped_true);
     reg.counter_with("p4testgen_simplify_total", simp_help, &[("action", "fast_unsat")])
         .add(inc.simplify.fast_unsat);
-    let xch_help = "cross-worker learnt-clause exchange traffic";
-    reg.counter_with("p4testgen_learnt_exchange_total", xch_help, &[("dir", "exported")])
-        .add(inc.learnt_exported);
-    reg.counter_with("p4testgen_learnt_exchange_total", xch_help, &[("dir", "imported")])
-        .add(inc.learnt_imported);
-    reg.counter_with("p4testgen_learnt_exchange_total", xch_help, &[("dir", "import_skipped")])
-        .add(inc.learnt_import_skipped);
 
     reg.gauge("p4testgen_pool_terms", "interned terms in the pool").set(f.pool.len() as u64);
     reg.gauge("p4testgen_pool_vars", "declared symbolic variables").set(f.pool.num_vars() as u64);
@@ -2381,9 +2366,6 @@ fn run_worker<T: Target>(sh: &Shared<'_, T>, widx: usize, local: WorkerDeque<Pen
     let mut solver = Solver::new();
     solver.set_budget(SolveBudget::conflicts(sh.config.solver_budget));
     solver.set_mode(sh.config.solver_mode);
-    if let Some(ex) = &sh.exchange {
-        solver.set_exchange(ex.clone(), widx as u32);
-    }
     let mut w = PathWorker {
         sh,
         widx: widx as u32,

@@ -25,8 +25,7 @@
 //!   disciplines behind one API: history-free per check on a recycled
 //!   instance for model-bearing queries, and (by default) warm
 //!   assumption-based incremental solving along the DFS spine for
-//!   verdict-only feasibility checks, with an optional cross-worker
-//!   learnt-clause exchange.
+//!   verdict-only feasibility checks.
 //! * [`mod@eval`] — reference concrete evaluation of terms, used for model
 //!   checking, concolic execution, and cross-validation property tests.
 //!
@@ -49,5 +48,5 @@ pub use eval::{eval, Assignment};
 pub use fingerprint::stable_fingerprint;
 pub use sat::SolveBudget;
 pub use simplify::SimplifyStats;
-pub use solver::{ClauseExchange, CheckResult, IncrementalStats, Solver, SolverMode};
+pub use solver::{CheckResult, IncrementalStats, Solver, SolverMode};
 pub use term::{BinOp, Node, TermId, TermPool, VarId};

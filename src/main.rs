@@ -251,8 +251,13 @@ fn parse_args() -> Options {
                     Some(args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage()))
             }
             "--fixed-packet-size" => {
-                opts.fixed_packet =
-                    Some(args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage()))
+                // The engine grows the input to `bytes * 8` bits, a u32.
+                opts.fixed_packet = Some(
+                    args.next()
+                        .and_then(|s| s.parse::<u32>().ok())
+                        .filter(|b| b.checked_mul(8).is_some())
+                        .unwrap_or_else(|| usage()),
+                )
             }
             "--with-constraints" => opts.with_constraints = true,
             "--out" => opts.out = Some(args.next().unwrap_or_else(|| usage())),

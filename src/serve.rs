@@ -34,8 +34,10 @@
 //! `strategy`, `solver_budget`, `solver_mode`, `deadline_ms`,
 //! `fixed_packet_bytes`, `with_constraints`, `jobs`); unknown keys are
 //! rejected, not ignored, so a typo cannot silently change what a tenant
-//! asked for. `name` becomes the `program` stamped into every test — pass
-//! the CLI's file basename to get byte-identical suites.
+//! asked for. `jobs` is capped at 64: each job is an OS thread, and
+//! suites are byte-identical at any job count. `name` becomes the
+//! `program` stamped into every test — pass the CLI's file basename to get
+//! byte-identical suites.
 //!
 //! Responses: `"status": "ok"` with the rendered suite, `"shed"` with a
 //! deterministic `retry_after_ms` (admission queue full, or draining), or
@@ -94,6 +96,9 @@ const ACCEPT_POLL: Duration = Duration::from_millis(25);
 const READ_POLL: Duration = Duration::from_millis(250);
 /// How many finished requests the `/status` recent-requests table keeps.
 const RECENT_CAPACITY: usize = 32;
+/// Largest `config.jobs` a request may ask for: each job is an OS thread
+/// spawned by the daemon on the tenant's behalf.
+const MAX_REQUEST_JOBS: u64 = 64;
 
 struct ServeOptions {
     listen: String,
@@ -462,8 +467,10 @@ fn parse_request(
                 "max_tests" => config.max_tests = val.as_u64().ok_or_else(|| bad(k))?,
                 "seed" => config.seed = val.as_u64().ok_or_else(|| bad(k))?,
                 "jobs" => {
-                    config.jobs =
-                        val.as_u64().filter(|&j| j >= 1).ok_or_else(|| bad(k))? as usize
+                    config.jobs = val
+                        .as_u64()
+                        .filter(|j| (1..=MAX_REQUEST_JOBS).contains(j))
+                        .ok_or_else(|| bad(k))? as usize
                 }
                 "solver_budget" => config.solver_budget = val.as_u64().ok_or_else(|| bad(k))?,
                 "strategy" => {
@@ -486,8 +493,13 @@ fn parse_request(
                         Some(Duration::from_millis(val.as_u64().ok_or_else(|| bad(k))?))
                 }
                 "fixed_packet_bytes" => {
-                    config.preconditions.fixed_packet_bytes =
-                        Some(val.as_u64().and_then(|n| u32::try_from(n).ok()).ok_or_else(|| bad(k))?)
+                    // The engine grows the input to `bytes * 8` bits, a u32.
+                    config.preconditions.fixed_packet_bytes = Some(
+                        val.as_u64()
+                            .and_then(|n| u32::try_from(n).ok())
+                            .filter(|b| b.checked_mul(8).is_some())
+                            .ok_or_else(|| bad(k))?,
+                    )
                 }
                 "with_constraints" => {
                     config.preconditions.apply_entry_restrictions =

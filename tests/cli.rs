@@ -75,6 +75,24 @@ fn cli_json_backend_is_parseable() {
 }
 
 #[test]
+fn cli_rejects_bad_flag_values_with_usage() {
+    let prog = write_program();
+    for flag in [
+        &["--jobs", "0"][..],
+        &["--jobs", "abc"],
+        &["-j"],
+        &["--deadline", "0"],
+        &["--solver-budget", "abc"],
+        // 2^29 bytes is 2^32 bits: the packet's bit count overflows u32.
+        &["--fixed-packet-size", "536870912"],
+    ] {
+        let out = bin().args(["--target", "v1model"]).args(flag).arg(&prog).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flag:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"), "{flag:?}");
+    }
+}
+
+#[test]
 fn cli_rejects_unknown_target() {
     let prog = write_program();
     let out = bin().args(["--target", "nonesuch"]).arg(&prog).output().unwrap();
@@ -185,6 +203,15 @@ fn cli_observability_outputs_round_trip() {
             .is_some_and(|v| v > 0),
         "solver.model_encode_ns missing or zero"
     );
+    // Workers exchange no learnt clauses, but the append-only schema keeps
+    // the exchange keys, pinned at 0.
+    for key in ["learnt_exported", "learnt_imported", "learnt_import_skipped"] {
+        assert_eq!(
+            summary_v.get("solver").and_then(|s| s.get(key)).and_then(|v| v.as_u64()),
+            Some(0),
+            "solver.{key} missing or non-zero"
+        );
+    }
     let tests_emitted = metrics_v
         .get("metrics")
         .and_then(|m| m.as_array())

@@ -481,6 +481,18 @@ fn serve_rejects_malformed_requests_structurally() {
     assert_eq!(error_kind(&resp), "bad-request");
     assert!(str_field(field(&resp, "error"), "message").contains("--enable-fault-injection"));
 
+    // Knob values the daemon must not honor: one worker thread past the
+    // per-request cap of 64, and a fixed packet size whose bit count
+    // overflows u32.
+    for (key, n) in [("jobs", 65), ("fixed_packet_bytes", 536_870_912)] {
+        let config =
+            Value::Object(vec![(key.to_string(), Value::Number(serde_json::Number::U(n)))]);
+        client.send(&request(key, config));
+        let resp = client.recv();
+        assert_eq!(error_kind(&resp), "bad-request", "{key} = {n}");
+        assert!(str_field(field(&resp, "error"), "message").contains(key));
+    }
+
     // A frontend error is classified, not a daemon failure.
     let mut bad = request("fe", empty_config());
     if let Value::Object(fields) = &mut bad {
